@@ -14,8 +14,9 @@
 //
 // Candidate moves are evaluated incrementally: a trial insertion's effect
 // on the L-capped distance matrix is exact in O(n^2) and a trial
-// removal's effect is recomputed only from the BFS sources the edge can
-// influence (package apsp), with per-type counts adjusted in O(changes)
+// removal's effect is recomputed by skip-edge BFS from the smaller
+// crossing side of the edge only (package apsp), with per-type counts
+// adjusted in O(changes)
 // (package opacity). Tests verify the incremental path always agrees
 // with full recomputation, so the heuristics make exactly the choices
 // the paper's O(|V|^3)-per-candidate implementation would make, only

@@ -6,6 +6,8 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/apsp"
+	"repro/internal/dataset"
 	"repro/internal/gen"
 )
 
@@ -42,4 +44,33 @@ func BenchmarkAnonymizeRMATGreedy(b *testing.B) {
 
 func benchSizeName(n, m int) string {
 	return fmt.Sprintf("n%d_m%d", n, m)
+}
+
+// BenchmarkAnonymizeSeededVsFresh runs the publish workload's job — a
+// greedy removal run on gnutella100 at L=2, theta=0.5 — once from a
+// fresh APSP build and once seeded with a prebuilt store through
+// Options.Distances, the copy-on-write Overlay path the server takes.
+// The seeded run skips the build, so it should never be the slower one.
+func BenchmarkAnonymizeSeededVsFresh(b *testing.B) {
+	g, err := dataset.GenerateByKey("gnutella100", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm := apsp.Build(g, 2, apsp.BuildOptions{})
+	for _, seeded := range []bool{false, true} {
+		name := "fresh"
+		opts := Options{L: 2, Theta: 0.5, Seed: 1}
+		if seeded {
+			name = "seeded"
+			opts.Distances = warm
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(g, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

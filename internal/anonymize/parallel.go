@@ -18,8 +18,9 @@ import (
 //
 // Both delta kernels are pure readers: InsertionDelta reads only the
 // distance store, and RemovalDelta recomputes with the candidate edge
-// masked out of the BFS instead of toggling it, so the working graph
-// and the store are shared read-only across every worker — no clones.
+// masked out of the BFS instead of toggling it, so the working graph,
+// its memoized CSR snapshot (one per committed step) and the store are
+// shared read-only across every worker — no clones.
 // The only per-worker state is a workerState of O(n) scratch buffers,
 // allocated once per lane for the lifetime of the run and reused
 // across every greedy step, so steady-state candidate scans allocate

@@ -65,12 +65,17 @@ func BenchmarkBuildRMATBitBFS(b *testing.B) {
 
 // BenchmarkCSRFrozen isolates the snapshot cost the CSR engines pay up
 // front — it must stay a small fraction of the sweep it accelerates.
+// Frozen memoizes its snapshot, so each op first toggles one edge to
+// drop the memo and measure a rebuild.
 func BenchmarkCSRFrozen(b *testing.B) {
 	for _, sz := range benchSizes() {
 		g := rmatGraph(b, sz[0], sz[1], 42)
+		e := g.Edges()[0]
 		b.Run(benchName(sz[0], g.M()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				g.RemoveEdge(e.U, e.V)
+				g.AddEdge(e.U, e.V)
 				g.Frozen()
 			}
 		})

@@ -72,95 +72,152 @@ func InsertionDeltaScratch(m Store, u, v int, scratch *Scratch, visit func(x, y,
 	}
 }
 
-// AffectedRemovalSources returns the sorted set of vertices x whose
-// distance row may change when the edge {u, v} is removed from the graph
-// described by m: any pair (x, y) whose shortest <=L path crossed the
-// edge has, on one side, a leg of length <= L-1 to an endpoint, so
-// recomputing bounded BFS from every x with min(d(x,u), d(x,v)) <= L-1
-// (plus u and v themselves) refreshes every entry that can change.
+// A removal can only lengthen a pair (x, y) whose every shortest <=L
+// path crossed the edge {u, v}. Crossing u -> v forces
+// d(x,v) == d(x,u)+1 with d(x,u) <= L-1, and d(y,u) == d(y,v)+1 with
+// d(y,v) <= L-1 — x on u's crossing side S_u, y on v's side S_v — and
+// fixes the old distance at d(x,u) + 1 + d(v,y). The two sides are
+// disjoint, so one side's rows witness every changed pair exactly
+// once. RemovalDelta, AffectedRemovalSources and RepairStore's removal
+// phase all derive the sides from crossing and sweep the side sweepU
+// picks.
+
+// crossing reports whether a vertex at capped distance du from u and
+// dv from v lies on u's crossing side of the edge {u, v}; swap the
+// arguments for v's side.
+func crossing(du, dv, L int) bool { return du <= L-1 && dv == du+1 }
+
+// sweepU reports whether a removal sweeps u's crossing side rather
+// than v's: the smaller side, ties going to u's.
+func sweepU(sizeU, sizeV int) bool { return sizeU <= sizeV }
+
+// AffectedRemovalSources returns, ascending, the crossing side that
+// removing the edge {u, v} re-rows — exactly the sources RemovalDelta
+// sweeps with a skip-edge BFS: S_u = {x : d(x,u) <= L-1,
+// d(x,v) == d(x,u)+1} or its mirror S_v, whichever is smaller (ties go
+// to S_u). Every pair whose distance the removal changes has exactly
+// one endpoint in the returned set. The sides are read from m, which
+// must describe the graph with the edge present; RepairStore's removal
+// phase uses the same sets, and perfbench's per-layer
+// apsp.removal_sources averages its size.
 func AffectedRemovalSources(m Store, u, v int) []int {
-	n := m.N()
-	L := m.L()
-	out := make([]int, 0, n)
+	n, L := m.N(), m.L()
+	var sU, sV []int
 	for x := 0; x < n; x++ {
-		if x == u || x == v {
-			out = append(out, x)
-			continue
+		du, dv := 0, 0
+		if x != u {
+			du = m.Get(x, u)
 		}
-		if m.Get(x, u) <= L-1 || m.Get(x, v) <= L-1 {
-			out = append(out, x)
+		if x != v {
+			dv = m.Get(x, v)
+		}
+		if crossing(du, dv, L) {
+			sU = append(sU, x)
+		} else if crossing(dv, du, L) {
+			sV = append(sV, x)
 		}
 	}
-	return out
+	if sweepU(len(sU), len(sV)) {
+		return sU
+	}
+	return sV
 }
 
 // RemovalDelta reports, without mutating anything, every unordered
 // pair whose L-capped distance changes when the edge {u, v} is removed.
-// g must be the graph WITH the edge still present and consistent with
-// m; the edge is not actually removed — the recomputation runs bounded
-// BFS from every affected source with the edge masked out
-// (BoundedBFSIntoSkip), so g is only ever read. That read-only
-// discipline is what lets the anonymization heuristics' parallel
-// candidate scans share one graph across workers instead of cloning it
-// per worker. visit is called once per changed pair with x < y
-// (oldD < newD always, since removal can only lengthen distances).
+// g must be the graph WITH the edge still present and m its L-capped
+// store; m supplies only N and L, because every old distance follows
+// from the crossing formula and the store is never read. The kernel
+// runs on g's memoized CSR snapshot (graph.Graph.Frozen):
 //
-// A changed pair whose endpoints are both affected sources would be
-// recomputed twice; it is reported exactly once, by the
-// smaller-indexed endpoint's pass.
+//  1. two bounded BFS from u and v, with the edge present, give the
+//     legs d(.,u) and d(.,v) within L-1, and from them the crossing
+//     sides S_u and S_v;
+//  2. from each vertex x of the smaller side only, a skip-edge BFS
+//     (graph.CSR.BoundedBFSIntoSkip) gives the distances without the
+//     edge, compared against the other side only: a pair (x, y) with
+//     old = d(x,u) + 1 + d(v,y) <= L changed iff its new distance
+//     exceeds old.
+//
+// g is only ever read, which lets the anonymization heuristics'
+// parallel candidate scans share one graph and one snapshot across
+// workers. visit is called exactly once per changed pair with x < y
+// and oldD < newD, in an order fixed by the graph.
 //
 // scratch may be nil; pass a Scratch to amortize allocations across the
-// many candidate evaluations of a greedy sweep.
+// many candidate evaluations of a greedy sweep — with one the kernel
+// allocates nothing.
 func RemovalDelta(g *graph.Graph, m Store, u, v int, scratch *Scratch, visit func(x, y, oldD, newD int)) {
 	if !g.HasEdge(u, v) {
 		panic("apsp: RemovalDelta on absent edge")
 	}
-	n := m.N()
-	L := m.L()
+	n, L := m.N(), m.L()
+	far := int32(m.Far())
 	if scratch == nil {
 		scratch = NewScratch(n)
 	}
-	dist := scratch.dist
-	queue := scratch.queue
-	affected := scratch.affected
-	sources := scratch.sources[:0]
-	for x := 0; x < n; x++ {
-		if x == u || x == v || m.Get(x, u) <= L-1 || m.Get(x, v) <= L-1 {
-			sources = append(sources, x)
-			affected[x] = true
+	c := g.Frozen()
+	legU, legV, row := scratch.legU, scratch.legV, scratch.row
+	visU := c.BoundedBFSInto(u, L-1, legU, scratch.queueU)
+	visV := c.BoundedBFSInto(v, L-1, legV, scratch.queueV)
+	// A leg BFS leaves -1 beyond depth L-1. For a vertex within L-1 of
+	// the other endpoint, that leg is then exactly L (the edge bounds
+	// the two legs within one of each other), so map it to L.
+	leg := func(d int32) int {
+		if d < 0 {
+			return L
+		}
+		return int(d)
+	}
+	sideU, sideV := scratch.sideU[:0], scratch.sideV[:0]
+	for _, x := range visU {
+		if crossing(int(legU[x]), leg(legV[x]), L) {
+			sideU = append(sideU, x)
 		}
 	}
-	scratch.sources = sources
-
-	for _, x := range sources {
-		g.BoundedBFSIntoSkip(x, L, dist, queue, u, v)
-		for y := 0; y < n; y++ {
-			if y == x {
-				dist[y] = -1
+	for _, x := range visV {
+		if crossing(int(legV[x]), leg(legU[x]), L) {
+			sideV = append(sideV, x)
+		}
+	}
+	src, dst, legSrc, legDst := sideU, sideV, legU, legV
+	if !sweepU(len(sideU), len(sideV)) {
+		src, dst, legSrc, legDst = sideV, sideU, legV, legU
+	}
+	queue := scratch.queueRow
+	for _, x := range src {
+		visited := c.BoundedBFSIntoSkip(int(x), L, row, queue, u, v)
+		via := legSrc[x] + 1
+		for _, y := range dst {
+			oldD := via + legDst[y]
+			if oldD > int32(L) {
 				continue
 			}
-			newD := dist[y]
+			newD := row[y]
 			if newD < 0 {
-				newD = L + 1
+				newD = far
 			}
-			dist[y] = -1
-			if y < x && affected[y] {
-				continue // y's own pass reports the pair
+			if newD > oldD {
+				lo, hi := int(x), int(y)
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				visit(lo, hi, int(oldD), int(newD))
 			}
-			old := m.Get(x, y)
-			if newD == old {
-				continue
-			}
-			lo, hi := x, y
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			visit(lo, hi, old, newD)
 		}
+		for _, w := range visited {
+			row[w] = -1
+		}
+		queue = visited[:0]
 	}
-	for _, x := range sources {
-		affected[x] = false
+	for _, x := range visU {
+		legU[x] = -1
 	}
+	for _, x := range visV {
+		legV[x] = -1
+	}
+	scratch.queueU, scratch.queueV, scratch.queueRow = visU[:0], visV[:0], queue
+	scratch.sideU, scratch.sideV = sideU, sideV
 }
 
 // ApplyInsertion mutates m to reflect inserting the edge {u, v} into the
@@ -184,31 +241,41 @@ func ApplyRemoval(g *graph.Graph, m MutableStore, u, v int, scratch *Scratch) {
 	}
 }
 
-// Scratch holds reusable buffers for RemovalDelta so that the greedy
-// sweeps, which evaluate every candidate edge at every step, do not
-// allocate per candidate. All buffers are O(n); RemovalDelta only
-// reads the graph, so each concurrent evaluator needs its own Scratch
-// but can share the graph and store.
+// Scratch holds reusable buffers for the delta kernels so that the
+// greedy sweeps, which evaluate every candidate edge at every step, do
+// not allocate per candidate. All buffers are O(n); the kernels only
+// read the graph and the store, so each concurrent evaluator needs its
+// own Scratch but can share the graph and store.
 type Scratch struct {
-	dist     []int
-	queue    []int
-	affected []bool
-	sources  []int
-	du, dv   []int
+	// du, dv hold InsertionDelta's capped legs to the endpoints.
+	du, dv []int
+	// legU, legV and row are RemovalDelta's BFS distance rows (the legs
+	// to u and v, and one side vertex's row without the edge), -1
+	// between calls; the queues are their visit orders.
+	legU, legV, row          []int32
+	queueU, queueV, queueRow []int32
+	sideU, sideV             []int32 // the crossing sides S_u and S_v
 }
 
 // NewScratch returns buffers sized for an n-vertex graph.
 func NewScratch(n int) *Scratch {
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
+	unvisited := func() []int32 {
+		d := make([]int32, n)
+		for i := range d {
+			d[i] = -1
+		}
+		return d
 	}
 	return &Scratch{
-		dist:     dist,
-		queue:    make([]int, 0, n),
-		affected: make([]bool, n),
-		sources:  make([]int, 0, n),
 		du:       make([]int, n),
 		dv:       make([]int, n),
+		legU:     unvisited(),
+		legV:     unvisited(),
+		row:      unvisited(),
+		queueU:   make([]int32, 0, n),
+		queueV:   make([]int32, 0, n),
+		queueRow: make([]int32, 0, n),
+		sideU:    make([]int32, 0, n),
+		sideV:    make([]int32, 0, n),
 	}
 }

@@ -225,3 +225,139 @@ func TestAffectedRemovalSourcesCoverChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzRemovalDelta checks the crossing-set removal kernel against the
+// BoundedAPSP oracle on small random graphs (n <= 24, L in 1..4). Each
+// input is replayed on a compact store, a packed store, and an Overlay
+// whose dirty rows come from up to three earlier ApplyRemovals, as a
+// seeded anonymization run leaves them. For every store the reported
+// pairs must be exactly the oracle's before/after diff, each once, with
+// x < y and old < new, and every one must have exactly one endpoint in
+// AffectedRemovalSources — the side the kernel sweeps.
+func FuzzRemovalDelta(f *testing.F) {
+	for _, in := range []struct {
+		seed                   int64
+		n, l, density, earlier uint8
+	}{
+		{1, 7, 1, 90, 0}, {2, 12, 2, 60, 1}, {3, 18, 3, 40, 2}, {4, 24, 4, 25, 3},
+		{5, 24, 2, 120, 2}, {6, 20, 3, 15, 0}, {7, 9, 4, 200, 3}, {8, 16, 1, 70, 1},
+	} {
+		f.Add(in.seed, in.n, in.l, in.density, in.earlier)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nIn, lIn, density, earlier uint8) {
+		n := 2 + int(nIn)%23
+		L := 1 + int(lIn)%4
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(n, float64(density)/255, seed)
+
+		// Earlier removals dirty the overlay; g loses the same edges.
+		o := NewOverlay(BoundedAPSPKind(g, L, KindCompact))
+		for k := 0; k < int(earlier)%4 && g.M() > 1; k++ {
+			edges := g.Edges()
+			e := edges[rng.Intn(len(edges))]
+			ApplyRemoval(g, o, e.U, e.V, nil)
+			g.RemoveEdge(e.U, e.V)
+		}
+		if g.M() == 0 {
+			return
+		}
+		edges := g.Edges()
+		e := edges[rng.Intn(len(edges))]
+		before := BoundedAPSP(g, L)
+		if !Equal(o, before) {
+			t.Fatal("overlay after earlier removals disagrees with BoundedAPSP")
+		}
+		without := g.Clone()
+		without.RemoveEdge(e.U, e.V)
+		after := BoundedAPSP(without, L)
+		want := 0
+		before.EachPair(func(i, j, d int) {
+			if after.Get(i, j) != d {
+				want++
+			}
+		})
+
+		for name, m := range map[string]Store{
+			"compact": BoundedAPSPKind(g, L, KindCompact),
+			"packed":  BoundedAPSPKind(g, L, KindPacked),
+			"overlay": o,
+		} {
+			side := map[int]bool{}
+			for _, x := range AffectedRemovalSources(m, e.U, e.V) {
+				side[x] = true
+			}
+			seen := map[[2]int]bool{}
+			RemovalDelta(g, m, e.U, e.V, nil, func(x, y, oldD, newD int) {
+				p := [2]int{x, y}
+				switch {
+				case x >= y:
+					t.Fatalf("%s: pair reported as (%d, %d), want x < y", name, x, y)
+				case seen[p]:
+					t.Fatalf("%s: pair (%d, %d) reported twice", name, x, y)
+				case oldD >= newD:
+					t.Fatalf("%s: pair (%d, %d) reported %d -> %d, want old < new", name, x, y, oldD, newD)
+				case oldD != before.Get(x, y) || newD != after.Get(x, y):
+					t.Fatalf("%s: pair (%d, %d) reported %d -> %d, oracle %d -> %d",
+						name, x, y, oldD, newD, before.Get(x, y), after.Get(x, y))
+				case side[x] == side[y]:
+					t.Fatalf("%s: pair (%d, %d) does not cross the swept side %v", name, x, y, side)
+				}
+				seen[p] = true
+			})
+			if len(seen) != want {
+				t.Fatalf("%s: removing {%d,%d} at L=%d reported %d changed pairs, oracle has %d",
+					name, e.U, e.V, L, len(seen), want)
+			}
+		}
+	})
+}
+
+// TestRemovalDeltaZeroAllocs: with a reused Scratch and a memoized
+// snapshot, scoring a candidate removal allocates nothing.
+func TestRemovalDeltaZeroAllocs(t *testing.T) {
+	g := randomGraph(60, 0.08, 3)
+	m := BoundedAPSP(g, 3)
+	o := NewOverlay(m)
+	scratch := NewScratch(g.N())
+	edges := g.Edges()
+	var changed int
+	visit := func(_, _, _, _ int) { changed++ }
+	for _, s := range []Store{m, o} {
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, e := range edges {
+				RemovalDelta(g, s, e.U, e.V, scratch, visit)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("RemovalDelta allocates %.1f objects per scan, want 0", allocs)
+		}
+	}
+	if changed == 0 {
+		t.Fatal("no candidate changed any pair; the scan measured nothing")
+	}
+}
+
+var benchChanged int
+
+// BenchmarkRemovalDeltaOverlay scores candidate removals against an
+// Overlay whose rows were dirtied by committed removals — the store a
+// seeded anonymization run works on in the server (a cached store plus
+// the run's sparse edits). One op is one candidate.
+func BenchmarkRemovalDeltaOverlay(b *testing.B) {
+	g := rmatGraph(b, 1_000, 4_000, 42)
+	const L = 2
+	o := NewOverlay(Build(g, L, BuildOptions{}))
+	scratch := NewScratch(g.N())
+	for _, e := range g.Edges()[:16] {
+		ApplyRemoval(g, o, e.U, e.V, scratch)
+		g.RemoveEdge(e.U, e.V)
+	}
+	edges := g.Edges()
+	visit := func(_, _, _, _ int) { benchChanged++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := edges[i%len(edges)]
+		RemovalDelta(g, o, e.U, e.V, scratch, visit)
+	}
+}

@@ -32,7 +32,11 @@
 // long repair chains from accumulating unbounded overlay indirection.
 package apsp
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // RepairOptions tunes the repair heuristics. The zero value selects
 // the defaults; fields are fractions of n (rows, edits) or of the
@@ -140,7 +144,7 @@ func RepairStore(base Store, child *graph.Graph, diff graph.Diff, opts RepairOpt
 	// the child graph — exact final values even when removed edges'
 	// neighborhoods overlap.
 	if len(diff.Removes) > 0 {
-		rows := removalRows(o, diff.Removes, sc)
+		rows := removalRows(o, diff.Removes)
 		maxRows := int(opts.MaxRowFraction * float64(n))
 		if maxRows < minRowFloor {
 			maxRows = minRowFloor
@@ -219,50 +223,18 @@ func repairInsertion(o *Overlay, u, v int, sc *Scratch, budget int64) bool {
 }
 
 // removalRows returns the union of rows the removal batch can change,
-// deduplicated. For each removed edge {u, v} it computes the two
-// crossing sets against the current (post-insertion) store —
-// S_u = {x : d(x,u) <= L-1 and d(x,v) == d(x,u)+1} and the mirror
-// S_v — and keeps the smaller: a pair (x, y) whose distance grows had
-// a shortest path crossing the edge, which places x in S_u and y in
-// S_v (or vice versa), so one side's rows witness every changed cell.
-func removalRows(o *Overlay, removes []graph.Edge, sc *Scratch) []int {
-	n, L := o.N(), o.L()
-	seen := sc.affected // reused bitmap; reset before return
+// ascending and deduplicated: for each removed edge, the crossing side
+// AffectedRemovalSources picks against the current (post-insertion)
+// store. A pair whose distance grows had a shortest path crossing some
+// removed edge, which puts one of its endpoints on that edge's swept
+// side, so those rows witness every changed cell.
+func removalRows(o Store, removes []graph.Edge) []int {
 	var rows []int
-	var sU, sV []int
 	for _, e := range removes {
-		u, v := e.U, e.V
-		sU, sV = sU[:0], sV[:0]
-		for x := 0; x < n; x++ {
-			du, dv := 0, 0
-			if x != u {
-				du = o.Get(x, u)
-			}
-			if x != v {
-				dv = o.Get(x, v)
-			}
-			if du <= L-1 && dv == du+1 {
-				sU = append(sU, x)
-			}
-			if dv <= L-1 && du == dv+1 {
-				sV = append(sV, x)
-			}
-		}
-		side := sU
-		if len(sV) < len(sU) {
-			side = sV
-		}
-		for _, x := range side {
-			if !seen[x] {
-				seen[x] = true
-				rows = append(rows, x)
-			}
-		}
+		rows = append(rows, AffectedRemovalSources(o, e.U, e.V)...)
 	}
-	for _, x := range rows {
-		seen[x] = false
-	}
-	return rows
+	slices.Sort(rows)
+	return slices.Compact(rows)
 }
 
 // rerow recomputes each listed row exactly by bounded BFS on the child

@@ -16,18 +16,37 @@ import (
 // deterministic without per-call sorting.
 //
 // A CSR is a point-in-time snapshot: later mutations of the source
-// Graph are not reflected. Build one per bulk computation with
-// Graph.Frozen, share it freely across goroutines (all methods are
-// read-only), and let it go when the computation ends.
+// Graph are not reflected. Graph.Frozen memoizes it, so every caller
+// between two mutations — a greedy step's whole candidate scan, its
+// parallel lanes, a sweep of per-source BFS — shares one snapshot, and
+// the next AddEdge or RemoveEdge drops it. All methods are read-only,
+// so a snapshot may be shared freely across goroutines.
 type CSR struct {
 	offsets   []int32 // len n+1; vertex v's window is neighbors[offsets[v]:offsets[v+1]]
 	neighbors []int32 // len 2m, ascending within each window
 }
 
-// Frozen returns a CSR snapshot of the graph's current adjacency.
+// Frozen returns a CSR snapshot of the graph's current adjacency. The
+// snapshot is built on first use and reused until the next successful
+// AddEdge or RemoveEdge, so repeated calls on an unchanged graph cost
+// one atomic load; concurrent calls on an unchanged graph are safe.
 // It panics when the vertex count or the packed neighbor-array length
 // 2m exceeds the int32 index space.
 func (g *Graph) Frozen() *CSR {
+	if c := g.frozen.Load(); c != nil {
+		return c
+	}
+	c := g.freeze()
+	if !g.frozen.CompareAndSwap(nil, c) {
+		// A concurrent caller stored its (identical) snapshot first;
+		// share that one.
+		return g.frozen.Load()
+	}
+	return c
+}
+
+// freeze builds a fresh CSR snapshot of the adjacency.
+func (g *Graph) freeze() *CSR {
 	n := g.N()
 	if int64(n) > math.MaxInt32 || int64(2*g.m) > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: n=%d m=%d exceeds CSR int32 index space", n, g.m))
@@ -96,6 +115,44 @@ func (c *CSR) BoundedBFSInto(src, maxDepth int, dist []int32, queue []int32) []i
 		}
 		for _, w := range c.neighbors[c.offsets[u]:c.offsets[u+1]] {
 			if dist[w] < 0 {
+				dist[w] = du + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return queue
+}
+
+// BoundedBFSIntoSkip is BoundedBFSInto on the graph with the single
+// edge {su, sv} treated as absent, under the same dist/queue contract.
+// It answers "what would distances be without this edge?" without
+// mutating anything, which is what lets removal-delta evaluation share
+// one snapshot across concurrent candidate scans. It is a separate
+// loop, not BoundedBFSInto with a sentinel edge, so the APSP builds'
+// inner loop carries no extra compare.
+func (c *CSR) BoundedBFSIntoSkip(src, maxDepth int, dist []int32, queue []int32, su, sv int) []int32 {
+	queue = queue[:0]
+	dist[src] = 0
+	queue = append(queue, int32(src))
+	md := int32(maxDepth)
+	a, b := int32(su), int32(sv)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u]
+		if du >= md {
+			continue
+		}
+		// The masked neighbor of u: the edge's other endpoint when u is
+		// one of them, else -1, which matches no vertex.
+		skip := int32(-1)
+		switch u {
+		case a:
+			skip = b
+		case b:
+			skip = a
+		}
+		for _, w := range c.neighbors[c.offsets[u]:c.offsets[u+1]] {
+			if w != skip && dist[w] < 0 {
 				dist[w] = du + 1
 				queue = append(queue, w)
 			}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -142,8 +143,9 @@ func TestCSRNeighborsZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
-// TestBoundedBFSIntoSkipMasksEdge: the skip-edge traversal equals a
-// plain traversal on a copy with the edge actually removed.
+// TestBoundedBFSIntoSkipMasksEdge: the CSR skip-edge traversal equals
+// a plain traversal on a copy with the edge actually removed, and its
+// returned visit order is exactly the set of entries it wrote.
 func TestBoundedBFSIntoSkipMasksEdge(t *testing.T) {
 	for _, seed := range []int64{11, 12, 13} {
 		rng := rand.New(rand.NewSource(seed))
@@ -155,26 +157,37 @@ func TestBoundedBFSIntoSkipMasksEdge(t *testing.T) {
 		e := edges[rng.Intn(len(edges))]
 		removed := g.Clone()
 		removed.RemoveEdge(e.U, e.V)
+		c := g.Frozen()
 		n := g.N()
-		dist := make([]int, n)
+		dist := make([]int32, n)
 		for i := range dist {
 			dist[i] = -1
 		}
-		queue := make([]int, 0, n)
+		queue := make([]int32, 0, n)
 		for depth := 1; depth <= 3; depth++ {
 			for src := 0; src < n; src++ {
 				want := removed.BoundedBFS(src, depth)
-				g.BoundedBFSIntoSkip(src, depth, dist, queue, e.U, e.V)
+				visited := c.BoundedBFSIntoSkip(src, depth, dist, queue, e.U, e.V)
+				reached := 0
 				for v := 0; v < n; v++ {
-					if dist[v] != want[v] {
+					if int(dist[v]) != want[v] {
 						t.Fatalf("seed %d src %d depth %d skip {%d,%d}: dist[%d] = %d, want %d",
 							seed, src, depth, e.U, e.V, v, dist[v], want[v])
 					}
+					if dist[v] >= 0 {
+						reached++
+					}
+				}
+				if len(visited) != reached {
+					t.Fatalf("seed %d src %d: visit order has %d vertices, %d reached", seed, src, len(visited), reached)
+				}
+				for _, v := range visited {
 					dist[v] = -1
 				}
+				queue = visited[:0]
 			}
 		}
-		if !g.HasEdge(e.U, e.V) {
+		if !g.HasEdge(e.U, e.V) || g.Frozen() != c {
 			t.Fatal("skip traversal mutated the graph")
 		}
 	}
@@ -185,5 +198,110 @@ func TestFrozenEmptyAndSingleton(t *testing.T) {
 	c := New(1).Frozen()
 	if c.N() != 1 || c.M() != 0 || len(c.Neighbors(0)) != 0 {
 		t.Fatalf("singleton CSR: n=%d m=%d", c.N(), c.M())
+	}
+}
+
+// sameAdjacency reports whether snapshot c describes g's current edges.
+func sameAdjacency(c *CSR, g *Graph) bool {
+	if c.N() != g.N() || c.M() != g.M() {
+		return false
+	}
+	for v := 0; v < g.N(); v++ {
+		want := g.Neighbors(v)
+		got := c.Neighbors(v)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if int(got[i]) != want[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestFrozenMemoTracksMutations: the memoized snapshot is reused while
+// the graph is unchanged, and every successful AddEdge, RemoveEdge and
+// Diff.Apply after an earlier Frozen shows up in the next one. Failed
+// mutations change nothing, so they keep the snapshot.
+func TestFrozenMemoTracksMutations(t *testing.T) {
+	g := pathGraph(5)
+	c := g.Frozen()
+	if g.Frozen() != c {
+		t.Fatal("Frozen rebuilt the snapshot of an unchanged graph")
+	}
+	g.AddEdge(0, 1) // duplicate: no change
+	g.RemoveEdge(0, 4)
+	if g.Frozen() != c {
+		t.Fatal("a failed mutation dropped the snapshot")
+	}
+	steps := []func(){
+		func() { g.AddEdge(0, 4) },
+		func() { g.RemoveEdge(1, 2) },
+		func() {
+			d, err := NewDiff(5, [][2]int{{1, 3}}, [][2]int{{0, 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Apply(g); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for i, mutate := range steps {
+		before := g.Frozen()
+		mutate()
+		after := g.Frozen()
+		if after == before || !sameAdjacency(after, g) {
+			t.Fatalf("step %d: Frozen does not reflect the mutation", i)
+		}
+	}
+}
+
+// TestCloneNeverSharesStaleSnapshot: a clone's snapshot follows the
+// clone's own mutations, and the original's follows the original's.
+func TestCloneNeverSharesStaleSnapshot(t *testing.T) {
+	g := pathGraph(6)
+	orig := g.Frozen()
+	c := g.Clone()
+	if !sameAdjacency(c.Frozen(), c) {
+		t.Fatal("clone's first snapshot differs from the clone")
+	}
+	c.AddEdge(0, 5)
+	if !sameAdjacency(c.Frozen(), c) {
+		t.Fatal("clone's snapshot misses the clone's mutation")
+	}
+	if g.Frozen() != orig || !sameAdjacency(orig, g) {
+		t.Fatal("mutating the clone changed the original's snapshot")
+	}
+	g.RemoveEdge(2, 3)
+	c2 := g.Clone()
+	if !sameAdjacency(g.Frozen(), g) || !sameAdjacency(c2.Frozen(), c2) || !sameAdjacency(c.Frozen(), c) {
+		t.Fatal("a snapshot went stale after mutating the original")
+	}
+}
+
+// TestFrozenConcurrent: concurrent Frozen calls on an unchanged graph
+// all return the one snapshot the graph keeps. Run with -race.
+func TestFrozenConcurrent(t *testing.T) {
+	g := randomGraph(200, 0.05, 4)
+	const callers = 8
+	got := make([]*CSR, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				got[i] = g.Frozen()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c != got[0] || !sameAdjacency(c, g) {
+			t.Fatalf("caller %d got a different snapshot", i)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is a mutable simple undirected graph over the vertex set
@@ -23,6 +24,11 @@ type Graph struct {
 	adj    []map[int]struct{}
 	degree []int
 	m      int
+	// frozen memoizes Frozen's snapshot of the current adjacency;
+	// AddEdge and RemoveEdge clear it, so a non-nil value always
+	// matches the edge set. Atomic because read-only callers, such as
+	// the anonymizer's parallel candidate lanes, freeze concurrently.
+	frozen atomic.Pointer[CSR]
 }
 
 // New returns an empty simple graph on n vertices and no edges.
@@ -95,6 +101,7 @@ func (g *Graph) AddEdge(u, v int) bool {
 	g.degree[u]++
 	g.degree[v]++
 	g.m++
+	g.frozen.Store(nil)
 	return true
 }
 
@@ -109,6 +116,7 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	g.degree[u]--
 	g.degree[v]--
 	g.m--
+	g.frozen.Store(nil)
 	return true
 }
 

@@ -70,39 +70,6 @@ func (g *Graph) BoundedBFSInto(src, maxDepth int, dist []int, queue []int) int {
 	return reached
 }
 
-// BoundedBFSIntoSkip is BoundedBFSInto on the graph with the single
-// edge {su, sv} treated as absent. It lets removal-delta evaluation ask
-// "what would distances be without this edge?" WITHOUT mutating the
-// graph, which is what makes concurrent candidate scans share one
-// read-only graph instead of cloning it per worker.
-func (g *Graph) BoundedBFSIntoSkip(src, maxDepth int, dist []int, queue []int, su, sv int) int {
-	if queue == nil {
-		queue = make([]int, 0, g.N())
-	}
-	queue = queue[:0]
-	dist[src] = 0
-	queue = append(queue, src)
-	reached := 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		if du >= maxDepth {
-			continue
-		}
-		for w := range g.adj[u] {
-			if (u == su && w == sv) || (u == sv && w == su) {
-				continue
-			}
-			if dist[w] < 0 {
-				dist[w] = du + 1
-				reached++
-				queue = append(queue, w)
-			}
-		}
-	}
-	return reached
-}
-
 // ConnectedComponents returns a component label per vertex (labels are
 // 0-based, assigned in order of smallest contained vertex) and the number
 // of components.
